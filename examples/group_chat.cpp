@@ -17,6 +17,7 @@ using namespace wakurln;
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
+  args.reject_unknown({"nodes", "seed"});
   waku::HarnessConfig config = waku::HarnessConfig::defaults();
   // 4 speakers plus at least one silent bystander.
   config.node_count =

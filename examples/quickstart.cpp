@@ -14,6 +14,7 @@ using namespace wakurln;
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
+  args.reject_unknown({"nodes", "seed"});
   // 1. A simulated world: 12 peers (default), one chain, one contract.
   waku::HarnessConfig config = waku::HarnessConfig::defaults();
   config.node_count =

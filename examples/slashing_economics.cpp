@@ -16,6 +16,7 @@ using namespace wakurln;
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
+  args.reject_unknown({"nodes", "seed"});
   waku::HarnessConfig config = waku::HarnessConfig::defaults();
   // The offender is node 2; keep at least one slasher and one bystander.
   config.node_count =

@@ -17,6 +17,7 @@ using namespace wakurln;
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
+  args.reject_unknown({"nodes", "seed"});
   waku::HarnessConfig config = waku::HarnessConfig::defaults();
   // The attacker is node 5; keep at least a handful of honest victims.
   config.node_count =

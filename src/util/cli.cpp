@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
 
@@ -24,6 +25,14 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
       values_[key] = argv[++i];
     } else {
       values_[key] = "";
+    }
+  }
+}
+
+void CliArgs::reject_unknown(std::initializer_list<std::string_view> accepted) const {
+  for (const auto& [key, value] : values_) {
+    if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+      throw std::invalid_argument("unknown flag --" + key);
     }
   }
 }

@@ -3,12 +3,14 @@
 // runner: `--key value`, `--key=value`, and bare boolean flags (`--list`).
 // No external dependency, no registration step — callers query by name
 // with a default, so every binary keeps sane zero-argument behaviour for
-// smoke tests and CI.
+// smoke tests and CI. Each binary lists its flags once in
+// reject_unknown(), so a misspelt flag fails instead of being ignored.
 
 #include <cstdint>
+#include <initializer_list>
+#include <map>
 #include <string>
-#include <unordered_map>
-#include <vector>
+#include <string_view>
 
 namespace wakurln::util {
 
@@ -18,6 +20,10 @@ class CliArgs {
   /// `--key` with no following value (end of argv, or another `--flag`
   /// next) is recorded as a boolean flag with an empty value.
   CliArgs(int argc, const char* const* argv);
+
+  /// Throws std::invalid_argument naming the first (in key order) flag
+  /// that is not in `accepted` (names without the leading "--").
+  void reject_unknown(std::initializer_list<std::string_view> accepted) const;
 
   /// True if `--key` appeared (with or without a value).
   bool has(const std::string& key) const;
@@ -37,7 +43,7 @@ class CliArgs {
 
  private:
   std::string program_;
-  std::unordered_map<std::string, std::string> values_;
+  std::map<std::string, std::string> values_;
 };
 
 }  // namespace wakurln::util

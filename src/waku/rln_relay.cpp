@@ -31,8 +31,7 @@ WakuRlnRelay::WakuRlnRelay(WakuRelay& relay, eth::Chain& chain,
       identity_(rln::Identity::generate(rng_)),
       epochs_(config.epoch_period_seconds, config.max_delay_seconds),
       sync_(group_sync ? std::move(group_sync)
-                       : std::make_shared<GroupSync>(chain, config.tree_depth,
-                                                     config.batch_crypto)),
+                       : std::make_shared<GroupSync>(chain, config.tree_depth)),
       ctx_(ctx ? std::move(ctx)
                : RlnValidatorContext::make(std::move(crs), config.messages_per_epoch)),
       nullifier_map_(ctx_->store) {
@@ -49,10 +48,6 @@ WakuRlnRelay::WakuRlnRelay(WakuRelay& relay, eth::Chain& chain,
   // The current root is r_{floor}; everything older predates this relay
   // and was never in its acceptance window.
   root_floor_ = sync_->current_root_index();
-  if (config_.batch_crypto) {
-    batch_verifier_ =
-        std::make_unique<zksnark::BatchVerifier>(config_.batch_verify_watermark);
-  }
   // The sync's own subscription predates this one, so membership updates
   // are applied to the tree before any relay reads the new root.
   chain_.subscribe_events(
@@ -155,32 +150,11 @@ WakuRlnRelay::PublishOutcome WakuRlnRelay::do_publish(const gossipsub::TopicId& 
   return PublishOutcome::kPublished;
 }
 
-bool WakuRlnRelay::verify_proof(std::span<const std::uint8_t> payload,
-                                const rln::RlnSignal& signal) {
-  // Batched mode verifies through the prepared (allocation-free) path —
-  // same verdict bit-for-bit — and counts the proof into the modeled
-  // amortisation queue. Scalar mode is the executable reference.
-  if (batch_verifier_) {
-    const bool ok = ctx_->verifier.verify_prepared(payload, signal);
-    batch_verifier_->enqueue();
-    return ok;
-  }
-  return ctx_->verifier.verify(payload, signal);
-}
-
 bool WakuRlnRelay::verify_proof_cached(const gossipsub::MessageId& id,
                                        std::span<const std::uint8_t> payload,
                                        const rln::RlnSignal& signal) {
-  if (config_.proof_cache_entries == 0) {
-    ++stats_.proof_verifications;
-    if (tracer_ != nullptr) {
-      tracer_->begin("verify", now_us(), trace_track_, obs::short_id(id));
-      const bool ok = verify_proof(payload, signal);
-      tracer_->end(now_us(), trace_track_);
-      return ok;
-    }
-    return verify_proof(payload, signal);
-  }
+  // With the cache off (proof_cache_entries == 0) nothing is ever
+  // inserted, so the lookup always misses.
   if (const auto it = proof_cache_.find(id); it != proof_cache_.end()) {
     ++stats_.proof_cache_hits;
     if (tracer_ != nullptr) {
@@ -192,8 +166,9 @@ bool WakuRlnRelay::verify_proof_cached(const gossipsub::MessageId& id,
   if (tracer_ != nullptr) {
     tracer_->begin("verify", now_us(), trace_track_, obs::short_id(id));
   }
-  const bool ok = verify_proof(payload, signal);
+  const bool ok = ctx_->verifier.verify_prepared(payload, signal);
   if (tracer_ != nullptr) tracer_->end(now_us(), trace_track_);
+  if (config_.proof_cache_entries == 0) return ok;
   if (proof_cache_order_.size() >= config_.proof_cache_entries) {
     proof_cache_.erase(proof_cache_order_.front());
     proof_cache_order_.pop_front();
@@ -326,10 +301,6 @@ void WakuRlnRelay::schedule_nullifier_gc() {
         const std::uint64_t epoch = current_epoch();
         if (epoch > keep_epochs) {
           nullifier_map_.prune_before(epoch - keep_epochs);
-        }
-        // Epoch boundary: drain whatever the watermark left queued.
-        if (batch_verifier_) {
-          batch_verifier_->drain(zksnark::BatchVerifier::DrainReason::kEpochBoundary);
         }
       });
 }

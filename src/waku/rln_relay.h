@@ -30,7 +30,6 @@
 #include "rln/prover.h"
 #include "waku/group_sync.h"
 #include "waku/relay.h"
-#include "zksnark/batch_verifier.h"
 
 namespace wakurln::obs {
 class Tracer;
@@ -59,6 +58,11 @@ struct RlnValidatorContext {
   }
 };
 
+/// Per-relay protocol parameters. Proofs always verify through the
+/// allocation-free prepared verifier and registrations reach the tree
+/// through GroupSync's block-buffered batch append; both are pinned
+/// bit-equal to the scalar references (RlnVerifier::verify,
+/// RlnGroup::add_member) by the differential suites.
 struct WakuRlnConfig {
   /// Membership tree depth (must match the proof-system setup).
   std::size_t tree_depth = 20;
@@ -81,16 +85,6 @@ struct WakuRlnConfig {
   /// 0 disables). Cheap insurance: a re-delivered message (late IWANT
   /// after seen-cache expiry) reuses its zkSNARK verdict.
   std::size_t proof_cache_entries = 4096;
-  /// Batched crypto hot path: registrations flush through the Merkle
-  /// batch append at block seals, proofs verify through the
-  /// allocation-free PreparedVerifier, and a modeled batch-verification
-  /// queue amortises pairing cost. Verdicts stay synchronous and every
-  /// deterministic report byte is identical either way (pinned by
-  /// tests/report_pins_test.cpp); off = the scalar reference paths.
-  bool batch_crypto = true;
-  /// Queue size at which the modeled batch verifier auto-drains (it also
-  /// drains every epoch). Only meaningful with batch_crypto.
-  std::size_t batch_verify_watermark = 64;
 };
 
 class WakuRlnRelay {
@@ -164,11 +158,6 @@ class WakuRlnRelay {
   const std::shared_ptr<const RlnValidatorContext>& validator_context() const {
     return ctx_;
   }
-  /// The modeled batch-verification queue (nullptr when batch_crypto is
-  /// off). Its stats are deterministic but not part of scenario reports.
-  const zksnark::BatchVerifier* batch_verifier() const {
-    return batch_verifier_.get();
-  }
 
   /// Attaches the message-lifecycle tracer (nullptr detaches). `track` is
   /// the trace track (= node index) this relay's publish / verify /
@@ -196,10 +185,8 @@ class WakuRlnRelay {
   PublishOutcome do_publish(const gossipsub::TopicId& topic,
                             const util::Bytes& payload, bool enforce_rate_limit);
   gossipsub::Validation validate(sim::NodeId source, const gossipsub::GsMessage& msg);
-  /// One zkSNARK verification: prepared path + modeled queue in batched
-  /// mode, the scalar reference verifier otherwise. Verdicts identical.
-  bool verify_proof(std::span<const std::uint8_t> payload,
-                    const rln::RlnSignal& signal);
+  /// One zkSNARK verification through the prepared verifier, behind the
+  /// message-id-keyed verdict cache (proof_cache_entries == 0 bypasses it).
   bool verify_proof_cached(const gossipsub::MessageId& id,
                            std::span<const std::uint8_t> payload,
                            const rln::RlnSignal& signal);
@@ -223,8 +210,6 @@ class WakuRlnRelay {
   /// Built from the shared CRS on first publish: pure relays (the vast
   /// majority of a large world) never pay for a prover.
   std::unique_ptr<rln::RlnProver> prover_;
-  /// Modeled amortised-verification queue (batch_crypto only).
-  std::unique_ptr<zksnark::BatchVerifier> batch_verifier_;
 
   std::optional<std::uint64_t> own_index_;
   std::uint64_t publish_epoch_ = 0;       ///< epoch the counter refers to

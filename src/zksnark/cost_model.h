@@ -46,7 +46,7 @@ class CostModel {
   /// pass (random-linear-combination Groth16 batch verification: one
   /// shared pairing product plus a cheap marginal term per extra proof).
   /// batch_verify_ms(1) == verify_ms; the marginal factor is 0.35, so a
-  /// drained batch of 64 models a ~2.8x amortisation. Deterministic —
+  /// batch of 64 models a ~2.8x amortisation. Deterministic —
   /// safe to gate in CI.
   static double batch_verify_ms(std::size_t n, const DeviceProfile& device);
 };

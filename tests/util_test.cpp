@@ -3,6 +3,7 @@
 #include <set>
 
 #include "util/bytes.h"
+#include "util/cli.h"
 #include "util/rng.h"
 #include "util/shared_bytes.h"
 #include "util/serde.h"
@@ -228,6 +229,26 @@ TEST(SharedBytesTest, SliceBoundsAreChecked) {
   EXPECT_NO_THROW(a.slice(3, 0));
   EXPECT_THROW(a.slice(2, 2), std::out_of_range);
   EXPECT_THROW(a.slice(4, 0), std::out_of_range);
+}
+
+TEST(CliArgsTest, KnownFlagsParseAndUnknownFlagThrows) {
+  const char* const argv[] = {"prog", "--nodes", "9", "--seed=4", "--obs"};
+  const CliArgs args(5, argv);
+  EXPECT_NO_THROW(args.reject_unknown({"nodes", "seed", "obs", "out"}));
+  EXPECT_EQ(args.get_u64("nodes", 0), 9U);
+  EXPECT_EQ(args.get_u64("seed", 0), 4U);
+  EXPECT_TRUE(args.has("obs"));
+  EXPECT_EQ(args.get("out", "."), ".");
+
+  // A misspelt flag is named in the error instead of silently ignored.
+  const char* const typo[] = {"prog", "--node", "9999", "--seeds", "1"};
+  const CliArgs bad(5, typo);
+  try {
+    bad.reject_unknown({"nodes", "seeds"});
+    FAIL() << "unknown flag accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --node");
+  }
 }
 
 }  // namespace

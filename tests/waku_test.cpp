@@ -439,197 +439,160 @@ TEST(WakuRlnRelayTest, ProofCacheSkipsRepeatVerificationOnRedelivery) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched crypto hot path: externally identical to the scalar reference.
+// GroupSync's block-buffered flush against per-event application.
 
-// Drives two (chain, contract, GroupSync) stacks — one batching
-// registrations per block, one applying them per event — through an
-// identical transaction schedule and asserts the externally observable
-// sync state matches after every block.
+// Per-event reference for GroupSync: a second chain subscriber, registered
+// after the sync, that applies every membership event the moment it fires
+// to a private rln::RlnGroup (add_member / remove_member, no buffering)
+// and records every distinct root. The chain fires all event handlers
+// before any block handler, so right after mine_block returns the sync
+// has flushed its buffered registrations and both views describe the
+// same event prefix.
+struct PerEventOracle {
+  rln::RlnGroup group;
+  GroupSync::Stats stats;
+  std::vector<field::Fr> roots;  ///< distinct roots, absolute index order
+
+  PerEventOracle(eth::Chain& chain, std::size_t tree_depth)
+      : group(tree_depth), roots{group.root()} {
+    chain.subscribe_events(
+        [this](const eth::ContractEvent& ev, const eth::Block&) { apply(ev); });
+  }
+
+  void apply(const eth::ContractEvent& ev) {
+    if (const auto* reg = std::get_if<eth::MemberRegistered>(&ev)) {
+      group.add_member(reg->pk);
+      ++stats.registrations_applied;
+      ++stats.root_updates;
+    } else if (const auto* slashed = std::get_if<eth::MemberSlashed>(&ev)) {
+      ++stats.slashes_applied;
+      if (group.is_active(slashed->index)) {
+        group.remove_member(slashed->index);
+        ++stats.root_updates;
+      }
+    } else {
+      return;
+    }
+    stats.sync_bytes += GroupSync::kEventWireBytes;
+    if (group.root() != roots.back()) roots.push_back(group.root());
+  }
+};
+
+void expect_matches_oracle(const GroupSync& sync, const PerEventOracle& oracle,
+                           int block) {
+  ASSERT_EQ(sync.group().root(), oracle.group.root()) << "block " << block;
+  ASSERT_EQ(sync.group().member_count(), oracle.group.member_count())
+      << "block " << block;
+  ASSERT_EQ(sync.stats().registrations_applied, oracle.stats.registrations_applied);
+  ASSERT_EQ(sync.stats().slashes_applied, oracle.stats.slashes_applied);
+  ASSERT_EQ(sync.stats().root_updates, oracle.stats.root_updates);
+  ASSERT_EQ(sync.stats().sync_bytes, oracle.stats.sync_bytes);
+  // total_roots equality is the per-registration root-history claim: a
+  // block of k registrations must add k distinct roots, not one.
+  ASSERT_EQ(sync.total_roots(), oracle.roots.size()) << "block " << block;
+  ASSERT_LE(oracle.roots.size(), GroupSync::kMaxRootHistory);
+  // Every oracle root sits in the history at exactly its absolute index.
+  for (std::size_t i = 0; i < oracle.roots.size(); ++i) {
+    EXPECT_TRUE(sync.root_in_window(oracle.roots[i], i))
+        << "root " << i << " block " << block;
+    if (i + 1 < oracle.roots.size()) {
+      EXPECT_FALSE(sync.root_in_window(oracle.roots[i], i + 1))
+          << "root " << i << " block " << block;
+    }
+  }
+}
+
+// Drives one (chain, contract, GroupSync) stack through contract
+// transactions and compares it with the per-event oracle after every
+// block.
 TEST(GroupSyncBatchTest, BatchedBlocksMatchScalarEventApplication) {
   eth::MembershipConfig mcfg;
   mcfg.tree_depth = 8;
-  eth::Chain chain_b{TestNet::chain_config()}, chain_s{TestNet::chain_config()};
-  eth::RegistryListContract contract_b(chain_b, mcfg), contract_s(chain_s, mcfg);
-  GroupSync batched(chain_b, mcfg.tree_depth, /*batch_appends=*/true);
-  GroupSync scalar(chain_s, mcfg.tree_depth, /*batch_appends=*/false);
+  eth::Chain chain{TestNet::chain_config()};
+  eth::RegistryListContract contract(chain, mcfg);
+  GroupSync sync(chain, mcfg.tree_depth);
+  const PerEventOracle oracle(chain, mcfg.tree_depth);
 
   Rng rng(4040);
   std::vector<field::Fr> sks;
   std::uint64_t now = 0;
-  const auto submit_register = [&](const field::Fr& pk) {
-    const auto call = [pk](auto& contract) {
-      return [&contract, pk](eth::TxContext& ctx) {
-        contract.register_member(ctx, pk);
-      };
-    };
-    chain_b.submit(1, mcfg.stake_wei, eth::MembershipContract::kRegisterCalldataBytes,
-                   call(contract_b), now);
-    chain_s.submit(1, mcfg.stake_wei, eth::MembershipContract::kRegisterCalldataBytes,
-                   call(contract_s), now);
-  };
-  const auto submit_slash = [&](const field::Fr& sk) {
-    const auto call = [sk](auto& contract) {
-      return [&contract, sk](eth::TxContext& ctx) { contract.slash(ctx, sk); };
-    };
-    chain_b.submit(2, 0, eth::MembershipContract::kSlashCalldataBytes,
-                   call(contract_b), now);
-    chain_s.submit(2, 0, eth::MembershipContract::kSlashCalldataBytes,
-                   call(contract_s), now);
-  };
-  const auto expect_synced = [&](int block) {
-    ASSERT_EQ(batched.group().root(), scalar.group().root()) << "block " << block;
-    ASSERT_EQ(batched.group().member_count(), scalar.group().member_count());
-    // total_roots equality is the per-registration root-history claim:
-    // a block of k registrations must add k distinct roots, not one.
-    ASSERT_EQ(batched.total_roots(), scalar.total_roots()) << "block " << block;
-    ASSERT_EQ(batched.stats().registrations_applied,
-              scalar.stats().registrations_applied);
-    ASSERT_EQ(batched.stats().slashes_applied, scalar.stats().slashes_applied);
-    ASSERT_EQ(batched.stats().root_updates, scalar.stats().root_updates);
-    ASSERT_EQ(batched.stats().sync_bytes, scalar.stats().sync_bytes);
-    ASSERT_TRUE(batched.root_in_window(scalar.group().root(),
-                                       scalar.current_root_index()));
-  };
 
   // Block shapes: a registration storm (6 joins in one block), a mixed
   // block whose slash lands *after* same-block registrations (the batch
   // must flush before the slash reads membership), an empty block, and a
   // slash-only block.
   for (int block = 0; block < 8; ++block) {
-    for (const eth::Address account : {1, 2}) {
-      chain_b.ledger().mint(account, 100'000'000);
-      chain_s.ledger().mint(account, 100'000'000);
-    }
+    for (const eth::Address account : {1, 2}) chain.ledger().mint(account, 100'000'000);
     const int joins = (block % 3 == 0) ? 6 : (block % 3 == 1 ? 3 : 0);
     for (int j = 0; j < joins; ++j) {
       const field::Fr sk = field::Fr::random(rng);
       sks.push_back(sk);
-      submit_register(hash::poseidon_hash1(sk));
+      const field::Fr pk = hash::poseidon_hash1(sk);
+      chain.submit(1, mcfg.stake_wei, eth::MembershipContract::kRegisterCalldataBytes,
+                   [&contract, pk](eth::TxContext& ctx) { contract.register_member(ctx, pk); },
+                   now);
     }
     if (block >= 2 && block % 2 == 0 && !sks.empty()) {
-      submit_slash(sks[static_cast<std::size_t>(block)]);  // post-join slash
+      const field::Fr sk = sks[static_cast<std::size_t>(block)];  // post-join slash
+      chain.submit(2, 0, eth::MembershipContract::kSlashCalldataBytes,
+                   [&contract, sk](eth::TxContext& ctx) { contract.slash(ctx, sk); }, now);
     }
-    now += chain_b.config().block_time_seconds;
-    chain_b.mine_block(now);
-    chain_s.mine_block(now);
-    expect_synced(block);
+    now += chain.config().block_time_seconds;
+    chain.mine_block(now);
+    expect_matches_oracle(sync, oracle, block);
   }
+  EXPECT_EQ(sync.stats().slashes_applied, 3u);
 }
 
-// Helper: every deterministic relay counter, compared field by field.
-void expect_stats_equal(const WakuRlnRelay::Stats& a, const WakuRlnRelay::Stats& b,
-                        std::size_t node) {
-  EXPECT_EQ(a.published, b.published) << "node " << node;
-  EXPECT_EQ(a.accepted, b.accepted) << "node " << node;
-  EXPECT_EQ(a.invalid_envelope, b.invalid_envelope) << "node " << node;
-  EXPECT_EQ(a.invalid_epoch, b.invalid_epoch) << "node " << node;
-  EXPECT_EQ(a.invalid_slot, b.invalid_slot) << "node " << node;
-  EXPECT_EQ(a.unknown_root, b.unknown_root) << "node " << node;
-  EXPECT_EQ(a.invalid_proof, b.invalid_proof) << "node " << node;
-  EXPECT_EQ(a.duplicates, b.duplicates) << "node " << node;
-  EXPECT_EQ(a.double_signals, b.double_signals) << "node " << node;
-  EXPECT_EQ(a.slashes_submitted, b.slashes_submitted) << "node " << node;
-  EXPECT_EQ(a.proof_verifications, b.proof_verifications) << "node " << node;
-  EXPECT_EQ(a.proof_cache_hits, b.proof_cache_hits) << "node " << node;
-}
+// Raw event transactions reach shapes the contract refuses to emit: a
+// slash of a member that is already removed (a no-op on the tree that
+// still counts as an applied slash and costs sync bytes).
+TEST(GroupSyncBatchTest, PerEventOracleAgreesAfterEverySealedBlock) {
+  constexpr std::size_t kDepth = 6;
+  eth::Chain chain{TestNet::chain_config()};
+  GroupSync sync(chain, kDepth);
+  const PerEventOracle oracle(chain, kDepth);
 
-TEST(WakuRlnRelayTest, BatchCryptoOffIsObservationallyIdentical) {
-  // The same world twice — batched crypto on vs. off — through a
-  // workload that exercises every validation path: honest traffic, a
-  // double-signal slash, and mid-run registrations that churn the root
-  // window while proofs are in flight. Every deterministic counter and
-  // the group state must match exactly.
-  WakuRlnConfig on = TestNet::rln_config();
-  on.batch_crypto = true;
-  WakuRlnConfig off = TestNet::rln_config();
-  off.batch_crypto = false;
-
-  TestNet a(6, on), b(6, off);
-  const auto drive = [](TestNet& tn) {
-    tn.subscribe_all("t");
-    // Register only the first four; the last two join mid-traffic.
-    for (int i = 0; i < 4; ++i) tn.nodes[static_cast<std::size_t>(i)]->request_registration();
-    tn.run_seconds(15);
-    tn.nodes[0]->publish("t", util::to_bytes("m0"));
-    tn.nodes[1]->publish("t", util::to_bytes("m1"));
-    tn.run_seconds(5);
-    // Mid-traffic joins advance the root sequence under in-flight proofs.
-    tn.nodes[4]->request_registration();
-    tn.nodes[5]->request_registration();
-    tn.run_seconds(15);
-    // A rogue client double-signals: detected, slashed.
-    tn.nodes[2]->publish_unchecked("t", util::to_bytes("s1"));
-    tn.nodes[2]->publish_unchecked("t", util::to_bytes("s2"));
-    tn.run_seconds(25);
-    tn.nodes[4]->publish("t", util::to_bytes("late join publishes"));
-    tn.run_seconds(10);
+  Rng rng(5150);
+  std::vector<field::Fr> pks;
+  std::uint64_t now = 0;
+  const auto emit = [&](const eth::ContractEvent& ev) {
+    chain.submit(1, 0, 0, [ev](eth::TxContext& ctx) { ctx.emit(ev); }, now);
   };
-  drive(a);
-  drive(b);
+  const auto join = [&](int count) {
+    for (int j = 0; j < count; ++j) {
+      pks.push_back(field::Fr::random(rng));
+      emit(eth::MemberRegistered{pks.back(), pks.size() - 1});
+    }
+  };
+  const auto slash = [&](std::uint64_t index) {
+    emit(eth::MemberSlashed{pks.at(index), index, 2, 0, 0});
+  };
+  int block = 0;
+  const auto seal = [&] {
+    now += chain.config().block_time_seconds;
+    chain.mine_block(now);
+    expect_matches_oracle(sync, oracle, block++);
+  };
 
-  ASSERT_EQ(a.total_delivered(), b.total_delivered());
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    expect_stats_equal(a.nodes[i]->stats(), b.nodes[i]->stats(), i);
-    EXPECT_EQ(a.nodes[i]->group().root(), b.nodes[i]->group().root());
-    EXPECT_EQ(a.nodes[i]->group().member_count(), b.nodes[i]->group().member_count());
-  }
-  // Mode introspection: the queue exists only in batched mode, and it
-  // saw exactly the verifications the relay performed.
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    ASSERT_NE(a.nodes[i]->batch_verifier(), nullptr);
-    EXPECT_EQ(b.nodes[i]->batch_verifier(), nullptr);
-    EXPECT_EQ(a.nodes[i]->batch_verifier()->stats().enqueued,
-              a.nodes[i]->stats().proof_verifications);
-  }
-}
+  join(8);  // a registration burst inside one block
+  seal();
+  join(3);  // same-block slash of a member that joined just before it
+  slash(9);
+  join(2);
+  seal();
+  slash(9);  // already removed: no tree mutation, no new root
+  join(4);
+  seal();
+  seal();  // empty block
+  slash(0);  // slash-only block, the second one a repeat
+  slash(0);
+  seal();
 
-TEST(WakuRlnRelayTest, BatchVerifierWatermarkDrainsMidEpoch) {
-  WakuRlnConfig cfg = TestNet::rln_config();
-  cfg.batch_verify_watermark = 2;
-  TestNet tn(5, cfg);
-  tn.subscribe_all("t");
-  tn.register_all();
-  tn.run_seconds(5);
-  // Three different members publish inside one epoch: a pure relay
-  // verifies all three, so its queue crosses the watermark once and
-  // keeps one proof pending.
-  tn.nodes[0]->publish("t", util::to_bytes("w0"));
-  tn.nodes[1]->publish("t", util::to_bytes("w1"));
-  tn.nodes[2]->publish("t", util::to_bytes("w2"));
-  tn.run_seconds(4);  // deliver within the current epoch
-  const zksnark::BatchVerifier* bv = tn.nodes[4]->batch_verifier();
-  ASSERT_NE(bv, nullptr);
-  EXPECT_EQ(bv->stats().enqueued, 3u);
-  EXPECT_EQ(bv->stats().watermark_drains, 1u);
-  EXPECT_EQ(bv->stats().largest_batch, 2u);
-  EXPECT_EQ(bv->pending(), 1u);
-  // The epoch boundary drains the in-flight remainder.
-  tn.run_seconds(cfg.epoch_period_seconds + 1);
-  EXPECT_EQ(bv->pending(), 0u);
-  EXPECT_GE(bv->stats().epoch_drains, 1u);
-  EXPECT_GT(bv->modeled_speedup(), 1.0);
-}
-
-TEST(WakuRlnRelayTest, BatchVerifierEpochDrainHandlesQuietEpochs) {
-  // With a high watermark nothing auto-drains; the per-epoch timer must
-  // still empty the queue, and epochs with no traffic must not record
-  // empty drains.
-  WakuRlnConfig cfg = TestNet::rln_config();
-  cfg.batch_verify_watermark = 1000;
-  TestNet tn(4, cfg);
-  tn.subscribe_all("t");
-  tn.register_all();
-  tn.run_seconds(5);
-  tn.nodes[0]->publish("t", util::to_bytes("one"));
-  tn.run_seconds(3 * cfg.epoch_period_seconds);
-  const zksnark::BatchVerifier* bv = tn.nodes[3]->batch_verifier();
-  ASSERT_NE(bv, nullptr);
-  EXPECT_EQ(bv->stats().enqueued, 1u);
-  EXPECT_EQ(bv->pending(), 0u);
-  EXPECT_EQ(bv->stats().watermark_drains, 0u);
-  // Exactly one real drain: quiet epochs are no-ops.
-  EXPECT_EQ(bv->stats().drains, 1u);
-  EXPECT_EQ(bv->stats().epoch_drains, 1u);
+  EXPECT_EQ(sync.stats().registrations_applied, 17u);
+  EXPECT_EQ(sync.stats().slashes_applied, 4u);
+  EXPECT_EQ(sync.stats().root_updates, 19u);  // 17 joins + 2 effective slashes
+  EXPECT_EQ(sync.group().member_count(), 15u);
 }
 
 TEST(WakuRlnRelayTest, SharedGroupSyncMatchesPrivateViews) {
