@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <unordered_set>
 
@@ -16,13 +17,18 @@
 using namespace wakurln;
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  args.reject_unknown({"nodes", "seed"});
   waku::HarnessConfig config = waku::HarnessConfig::defaults();
-  // 4 speakers plus at least one silent bystander.
-  config.node_count =
-      std::max<std::size_t>(5, static_cast<std::size_t>(args.get_u64("nodes", 8)));
-  config.seed = args.get_u64("seed", config.seed);
+  try {
+    const util::CliArgs args(argc, argv);
+    args.reject_unknown({"nodes", "seed"});
+    // 4 speakers plus at least one silent bystander.
+    config.node_count =
+        std::max<std::size_t>(5, static_cast<std::size_t>(args.get_u64("nodes", 8)));
+    config.seed = args.get_u64("seed", config.seed);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "group_chat: %s\n", e.what());
+    return 1;
+  }
   config.rln.epoch_period_seconds = 5;
   waku::SimHarness world(config);
   world.subscribe_all("waku/chat-room");

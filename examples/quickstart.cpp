@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 
 #include "util/cli.h"
 #include "waku/harness.h"
@@ -13,13 +14,18 @@
 using namespace wakurln;
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  args.reject_unknown({"nodes", "seed"});
   // 1. A simulated world: 12 peers (default), one chain, one contract.
   waku::HarnessConfig config = waku::HarnessConfig::defaults();
-  config.node_count =
-      std::max<std::size_t>(2, static_cast<std::size_t>(args.get_u64("nodes", 12)));
-  config.seed = args.get_u64("seed", config.seed);
+  try {
+    const util::CliArgs args(argc, argv);
+    args.reject_unknown({"nodes", "seed"});
+    config.node_count =
+        std::max<std::size_t>(2, static_cast<std::size_t>(args.get_u64("nodes", 12)));
+    config.seed = args.get_u64("seed", config.seed);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 1;
+  }
   waku::SimHarness world(config);
 
   std::printf("== WAKU-RLN-RELAY quickstart ==\n");

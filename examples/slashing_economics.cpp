@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 
 #include "hash/poseidon.h"
 #include "shamir/shamir.h"
@@ -15,13 +16,18 @@
 using namespace wakurln;
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  args.reject_unknown({"nodes", "seed"});
   waku::HarnessConfig config = waku::HarnessConfig::defaults();
-  // The offender is node 2; keep at least one slasher and one bystander.
-  config.node_count =
-      std::max<std::size_t>(4, static_cast<std::size_t>(args.get_u64("nodes", 6)));
-  config.seed = args.get_u64("seed", config.seed);
+  try {
+    const util::CliArgs args(argc, argv);
+    args.reject_unknown({"nodes", "seed"});
+    // The offender is node 2; keep at least one slasher and one bystander.
+    config.node_count =
+        std::max<std::size_t>(4, static_cast<std::size_t>(args.get_u64("nodes", 6)));
+    config.seed = args.get_u64("seed", config.seed);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "slashing_economics: %s\n", e.what());
+    return 1;
+  }
   config.stake_wei = 2'000'000;
   config.burn_fraction = 0.5;
   waku::SimHarness world(config);

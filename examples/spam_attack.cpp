@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 
 #include "util/cli.h"
 #include "waku/harness.h"
@@ -16,13 +17,18 @@
 using namespace wakurln;
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  args.reject_unknown({"nodes", "seed"});
   waku::HarnessConfig config = waku::HarnessConfig::defaults();
-  // The attacker is node 5; keep at least a handful of honest victims.
-  config.node_count =
-      std::max<std::size_t>(8, static_cast<std::size_t>(args.get_u64("nodes", 16)));
-  config.seed = args.get_u64("seed", config.seed);
+  try {
+    const util::CliArgs args(argc, argv);
+    args.reject_unknown({"nodes", "seed"});
+    // The attacker is node 5; keep at least a handful of honest victims.
+    config.node_count =
+        std::max<std::size_t>(8, static_cast<std::size_t>(args.get_u64("nodes", 16)));
+    config.seed = args.get_u64("seed", config.seed);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "spam_attack: %s\n", e.what());
+    return 1;
+  }
   waku::SimHarness world(config);
   world.subscribe_all("waku/town-square");
   world.register_all();

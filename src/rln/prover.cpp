@@ -84,12 +84,16 @@ bool RlnVerifier::verify(std::span<const std::uint8_t> payload,
 
 bool RlnVerifier::verify_prepared(std::span<const std::uint8_t> payload,
                                   const RlnSignal& signal) const {
+  return verify_prepared(zksnark::RlnCircuit::message_to_x(payload), signal);
+}
+
+bool RlnVerifier::verify_prepared(const Fr& x, const RlnSignal& signal) const {
   if (signal.message_index >= messages_per_epoch_) return false;
   zksnark::RlnPublicInputs pub;
   pub.root = signal.root;
   pub.epoch =
       external_nullifier(signal.epoch, signal.message_index, messages_per_epoch_);
-  pub.x = zksnark::RlnCircuit::message_to_x(payload);
+  pub.x = x;
   pub.y = signal.y;
   pub.nullifier = signal.nullifier;
   return prepared_.verify(signal.proof, pub);

@@ -57,6 +57,10 @@ class RlnVerifier {
   bool verify_prepared(std::span<const std::uint8_t> payload,
                        const RlnSignal& signal) const;
 
+  /// The same check for a caller that already holds
+  /// x = RlnCircuit::message_to_x(payload), so x is hashed once per message.
+  bool verify_prepared(const field::Fr& x, const RlnSignal& signal) const;
+
  private:
   zksnark::VerifyingKey verifying_key_;
   zksnark::PreparedVerifier prepared_;

@@ -10,11 +10,52 @@ namespace wakurln::waku {
 
 using gossipsub::Validation;
 
+ProofMemo::Verdict ProofMemo::verify(const gossipsub::GsMessage& msg,
+                                     std::span<const std::uint8_t> payload,
+                                     const rln::RlnSignal& signal,
+                                     const rln::RlnVerifier& verifier) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = entries_.find(msg.id);
+    // The bytes must match too (equal views of one buffer compare
+    // without a read): an id alone never selects another message's verdict.
+    if (it != entries_.end() && it->second.data == msg.data) {
+      return it->second.verdict;
+    }
+  }
+  // Miss: compute outside the lock (pure, so a racing lane computes the
+  // same value and whichever inserts second is a no-op).
+  Verdict verdict;
+  verdict.x = zksnark::RlnCircuit::message_to_x(payload);
+  verdict.ok = verifier.verify_prepared(verdict.x, signal);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++verifier_runs_;
+  if (entries_.try_emplace(msg.id, Entry{msg.data, verdict}).second) {
+    by_epoch_[signal.epoch].push_back(msg.id);
+  }
+  return verdict;
+}
+
+void ProofMemo::prune_before(std::uint64_t oldest_kept_epoch) {
+  std::lock_guard<std::mutex> lock(mu_);
+  while (!by_epoch_.empty() && by_epoch_.begin()->first < oldest_kept_epoch) {
+    for (const auto& id : by_epoch_.begin()->second) entries_.erase(id);
+    by_epoch_.erase(by_epoch_.begin());
+  }
+}
+
+std::uint64_t ProofMemo::verifier_runs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return verifier_runs_;
+}
+
 std::shared_ptr<const RlnValidatorContext> RlnValidatorContext::make(
     zksnark::KeyPair crs, std::uint64_t messages_per_epoch) {
   rln::RlnVerifier verifier(crs.vk, messages_per_epoch);
-  return std::make_shared<const RlnValidatorContext>(RlnValidatorContext{
-      std::move(crs), std::move(verifier), std::make_shared<rln::NullifierStore>()});
+  // Parenthesised aggregate init: the memo (and its mutex) is built in
+  // place, never moved.
+  return std::make_shared<RlnValidatorContext>(
+      std::move(crs), std::move(verifier), std::make_shared<rln::NullifierStore>());
 }
 
 WakuRlnRelay::WakuRlnRelay(WakuRelay& relay, eth::Chain& chain,
@@ -150,9 +191,7 @@ WakuRlnRelay::PublishOutcome WakuRlnRelay::do_publish(const gossipsub::TopicId& 
   return PublishOutcome::kPublished;
 }
 
-bool WakuRlnRelay::verify_proof_cached(const gossipsub::MessageId& id,
-                                       std::span<const std::uint8_t> payload,
-                                       const rln::RlnSignal& signal) {
+bool WakuRlnRelay::verify_proof_cached(const gossipsub::MessageId& id, bool verdict) {
   // With the cache off (proof_cache_entries == 0) nothing is ever
   // inserted, so the lookup always misses.
   if (const auto it = proof_cache_.find(id); it != proof_cache_.end()) {
@@ -163,19 +202,21 @@ bool WakuRlnRelay::verify_proof_cached(const gossipsub::MessageId& id,
     return it->second;
   }
   ++stats_.proof_verifications;
+  // Every logical verification gets its "verify" span (zero-length:
+  // simulated time does not advance here), so the trace does not depend
+  // on which relay's lookup ran the verifier.
   if (tracer_ != nullptr) {
     tracer_->begin("verify", now_us(), trace_track_, obs::short_id(id));
+    tracer_->end(now_us(), trace_track_);
   }
-  const bool ok = ctx_->verifier.verify_prepared(payload, signal);
-  if (tracer_ != nullptr) tracer_->end(now_us(), trace_track_);
-  if (config_.proof_cache_entries == 0) return ok;
+  if (config_.proof_cache_entries == 0) return verdict;
   if (proof_cache_order_.size() >= config_.proof_cache_entries) {
     proof_cache_.erase(proof_cache_order_.front());
     proof_cache_order_.pop_front();
   }
-  proof_cache_.emplace(id, ok);
+  proof_cache_.emplace(id, verdict);
   proof_cache_order_.push_back(id);
-  return ok;
+  return verdict;
 }
 
 gossipsub::Validation WakuRlnRelay::validate(sim::NodeId /*source*/,
@@ -212,9 +253,11 @@ gossipsub::Validation WakuRlnRelay::validate(sim::NodeId /*source*/,
     return Validation::kIgnore;  // possibly our own stale view: don't punish
   }
 
-  // 4. zkSNARK verification — the content-addressed message id keys a
-  // verdict cache, so a re-delivered message costs a map lookup.
-  if (!verify_proof_cached(msg.id, payload, signal)) {
+  // 4. zkSNARK verification. The world memo computes x and the verdict
+  // once per message; this node's content-addressed verdict cache keeps
+  // its own logical count, so a re-delivered message is a cache hit.
+  const ProofMemo::Verdict pure = ctx_->memo.verify(msg, payload, signal, ctx_->verifier);
+  if (!verify_proof_cached(msg.id, pure.ok)) {
     ++stats_.invalid_proof;
     trace_drop("proof");
     return Validation::kReject;
@@ -222,8 +265,7 @@ gossipsub::Validation WakuRlnRelay::validate(sim::NodeId /*source*/,
 
   // 5. Nullifier map: double-signal detection.
   const auto check =
-      nullifier_map_.observe(signal.epoch, signal.nullifier,
-                             zksnark::RlnCircuit::message_to_x(payload), signal.y);
+      nullifier_map_.observe(signal.epoch, signal.nullifier, pure.x, signal.y);
   switch (check.outcome) {
     case rln::NullifierMap::Outcome::kDuplicateMessage:
       ++stats_.duplicates;
@@ -294,13 +336,16 @@ void WakuRlnRelay::schedule_nullifier_gc() {
       std::max<std::uint64_t>(config_.nullifier_retention_factor, 1);
   const sim::TimeUs period_us = config_.epoch_period_seconds * sim::kUsPerSecond;
   // Owned by this node's shard lane: the prune touches only this node's
-  // nullifier map (the shared store handles its own locking), so GC of
-  // different partitions runs in parallel.
+  // nullifier map plus the world's proof-verdict memo (the shared store
+  // and the memo handle their own locking), so GC of different
+  // partitions runs in parallel. Every relay prunes the memo with the
+  // same window; all calls after the first in an epoch find nothing old.
   gc_timer_ = relay_.router().network().scheduler().schedule_periodic_for(
       relay_.router().id(), period_us, period_us, [this, keep_epochs] {
         const std::uint64_t epoch = current_epoch();
         if (epoch > keep_epochs) {
           nullifier_map_.prune_before(epoch - keep_epochs);
+          ctx_->memo.prune_before(epoch - keep_epochs);
         }
       });
 }

@@ -14,13 +14,20 @@
 //                           message-id-keyed proof-result cache so IWANT
 //                           re-deliveries and gossip duplicates skip the
 //                           repeat zkSNARK verification
+//   * proof-verdict memo  — the pure part of that check, x = H(payload)
+//                           and the verifier's verdict, computed once per
+//                           message per world (ProofMemo below)
 //   * slashing            — reconstructed sk submitted to the contract;
 //                           the slasher earns the reward share
 
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <unordered_map>
+#include <vector>
 
 #include "eth/membership_contract.h"
 #include "rln/epoch.h"
@@ -37,24 +44,78 @@ class Tracer;
 
 namespace wakurln::waku {
 
-/// Immutable validation state every pure relay of a world shares: the CRS,
-/// one verifier built from it, and the world's nullifier record store.
-/// The old design gave each node a private copy of all three; one context
-/// per world is what lets a 250k-node harness hold a single CRS and a
-/// single deduplicated record arena. A relay constructed without a
-/// context builds a private one from its own CRS copy.
+/// World-shared memo of the pure part of RLN validation. Every relay of a
+/// world checks the same proof on the same bytes against the same
+/// verifying key, so x = message_to_x(payload) and the verifier's verdict
+/// are computed once per message and reused by every other relay.
+///
+/// Entries are keyed by GsMessage::id, but a hit also requires the stored
+/// message bytes to equal msg.data (pointer-equal fast path, else a byte
+/// compare): a forged or colliding id never borrows another message's
+/// verdict; it is verified on its own and not stored. Entries live in
+/// buckets by signal epoch and are pruned by the relays' nullifier-GC
+/// timer with the same retention window; a pruned entry that is needed
+/// again is simply recomputed.
+///
+/// The memo is host-side simulator state, not protocol state: the per-node
+/// Stats counters (proof_verifications, proof_cache_hits) keep counting
+/// each node's logical verifications, and the memory ledger does not
+/// charge it. Thread-safe: lanes that race on the same miss both compute
+/// the same pure value, so verdicts never depend on interleaving.
+class ProofMemo {
+ public:
+  struct Verdict {
+    field::Fr x;      ///< RlnCircuit::message_to_x(payload)
+    bool ok = false;  ///< RlnVerifier::verify_prepared(x, signal)
+  };
+
+  /// The verdict for `msg`, whose envelope decoded to (`signal`,
+  /// `payload`); computed through `verifier` on a miss.
+  Verdict verify(const gossipsub::GsMessage& msg,
+                 std::span<const std::uint8_t> payload, const rln::RlnSignal& signal,
+                 const rln::RlnVerifier& verifier);
+
+  /// Drops every entry whose signal epoch is below `oldest_kept_epoch`.
+  void prune_before(std::uint64_t oldest_kept_epoch);
+
+  /// Verifier runs this memo has made (its misses). In a serial world
+  /// that is the number of distinct messages verified.
+  std::uint64_t verifier_runs() const;
+
+ private:
+  struct Entry {
+    util::SharedBytes data;  ///< the message bytes the verdict belongs to
+    Verdict verdict;
+  };
+
+  mutable std::mutex mu_;
+  std::unordered_map<gossipsub::MessageId, Entry, gossipsub::MessageIdHash> entries_;
+  std::map<std::uint64_t, std::vector<gossipsub::MessageId>> by_epoch_;
+  std::uint64_t verifier_runs_ = 0;
+};
+
+/// Validation state every pure relay of a world shares: the CRS, one
+/// verifier built from it, the world's nullifier record store and the
+/// proof-verdict memo. The old design gave each node a private copy of
+/// the first three; one context per world is what lets a 250k-node
+/// harness hold a single CRS and a single deduplicated record arena. A
+/// relay constructed without a context builds a private one (with its
+/// own memo) from its own CRS copy.
 struct RlnValidatorContext {
   zksnark::KeyPair crs;
   rln::RlnVerifier verifier;
   std::shared_ptr<rln::NullifierStore> store;
+  /// Logically const: a cache of pure functions of the message bytes.
+  mutable ProofMemo memo;
 
   static std::shared_ptr<const RlnValidatorContext> make(
       zksnark::KeyPair crs, std::uint64_t messages_per_epoch);
 
   /// Modeled resident bytes of the shared state (the record store
-  /// dominates) — counted once per world by the harness.
+  /// dominates) — counted once per world by the harness. The memo is
+  /// host-side simulator state and is not charged.
   std::size_t memory_bytes() const {
-    return sizeof(RlnValidatorContext) + store->memory_bytes();
+    return sizeof(RlnValidatorContext) - sizeof(ProofMemo) + store->memory_bytes();
   }
 };
 
@@ -185,11 +246,11 @@ class WakuRlnRelay {
   PublishOutcome do_publish(const gossipsub::TopicId& topic,
                             const util::Bytes& payload, bool enforce_rate_limit);
   gossipsub::Validation validate(sim::NodeId source, const gossipsub::GsMessage& msg);
-  /// One zkSNARK verification through the prepared verifier, behind the
-  /// message-id-keyed verdict cache (proof_cache_entries == 0 bypasses it).
-  bool verify_proof_cached(const gossipsub::MessageId& id,
-                           std::span<const std::uint8_t> payload,
-                           const rln::RlnSignal& signal);
+  /// This node's logical zkSNARK verification of `id`, behind the
+  /// message-id-keyed verdict cache (proof_cache_entries == 0 bypasses
+  /// it). A miss counts one verification and takes `verdict`, the world
+  /// memo's answer.
+  bool verify_proof_cached(const gossipsub::MessageId& id, bool verdict);
   void on_chain_event(const eth::ContractEvent& event);
   void submit_slash(const field::Fr& sk);
   bool root_acceptable(const field::Fr& root) const;

@@ -46,11 +46,16 @@ struct TestNet {
     return cfg;
   }
 
-  explicit TestNet(std::size_t n, WakuRlnConfig cfg = rln_config()) {
+  /// `share_validator` hands every peer one RlnValidatorContext (as a
+  /// SimHarness world does); otherwise each builds a private one.
+  explicit TestNet(std::size_t n, WakuRlnConfig cfg = rln_config(),
+                   bool share_validator = false) {
     eth::MembershipConfig mcfg;
     mcfg.tree_depth = cfg.tree_depth;
     contract = std::make_unique<eth::RegistryListContract>(chain, mcfg);
     crs = zksnark::MockGroth16::setup(cfg.tree_depth, rng);
+    const auto ctx =
+        share_validator ? RlnValidatorContext::make(crs, cfg.messages_per_epoch) : nullptr;
 
     std::vector<sim::NodeId> ids;
     for (std::size_t i = 0; i < n; ++i) {
@@ -60,7 +65,8 @@ struct TestNet {
       const eth::Address account = 1000 + i;
       chain.ledger().mint(account, 100'000'000);
       nodes.push_back(std::make_unique<WakuRlnRelay>(
-          *relays.back(), chain, *contract, crs, account, cfg, Rng(rng.next_u64())));
+          *relays.back(), chain, *contract, crs, account, cfg, Rng(rng.next_u64()),
+          /*group_sync=*/nullptr, ctx));
     }
     connect_ring_plus_random(net, ids, 3, rng);
     for (auto& r : relays) r->start();
@@ -615,6 +621,193 @@ TEST(WakuRlnRelayTest, SharedGroupSyncMatchesPrivateViews) {
   EXPECT_EQ(world.node(0).group().member_count(), 3u);
   EXPECT_EQ(world.node(0).group().root(), world.node(2).group().root());
   EXPECT_EQ(&world.node(0).group(), &world.node(1).group());  // one tree
+}
+
+// ---------------------------------------------------------------------------
+// The world-shared proof-verdict memo (ProofMemo in RlnValidatorContext).
+
+std::string stats_line(const WakuRlnRelay::Stats& s) {
+  const std::uint64_t fields[] = {
+      s.published,     s.accepted,       s.invalid_envelope,  s.invalid_epoch,
+      s.invalid_slot,  s.unknown_root,   s.invalid_proof,     s.duplicates,
+      s.double_signals, s.slashes_submitted, s.proof_verifications,
+      s.proof_cache_hits};
+  std::string out;
+  for (const std::uint64_t f : fields) out.append(std::to_string(f)).append(",");
+  return out;
+}
+
+// A signal for `payload` by `sender`, proved against its own group view.
+rln::RlnSignal make_signal(TestNet& tn, WakuRlnRelay& sender, const Bytes& payload,
+                           std::uint64_t seed) {
+  rln::RlnProver prover(tn.crs.pk, sender.identity());
+  const auto index = sender.group().index_of(sender.identity().pk);
+  Rng prng(seed);
+  const auto signal =
+      prover.create_signal(payload, sender.current_epoch(), sender.group(), *index, prng);
+  EXPECT_TRUE(signal.has_value());
+  return *signal;
+}
+
+struct MemoWorld {
+  std::string fingerprint;
+  std::uint64_t logical_verifications = 0;  ///< summed Stats::proof_verifications
+  std::uint64_t shared_memo_runs = 0;       ///< the shared memo's runs (0 if private)
+};
+
+// Drives one traffic script through a TestNet and returns everything it
+// observably produced: each peer's Stats and delivery log, the offender's
+// contract status and the burnt stake. The script spans more epochs than
+// the retention window, so the memo's epoch buckets are pruned mid-run,
+// and covers every validation outcome the memo feeds: accept, invalid
+// proof, duplicate share and double signal.
+MemoWorld run_memo_world(bool share_validator) {
+  TestNet tn(8, TestNet::rln_config(), share_validator);
+  tn.subscribe_all("t");
+  tn.register_all();
+  tn.run_seconds(5);
+  for (std::size_t e = 0; e < 7; ++e) {
+    const std::string payload = std::string("honest-").append(std::to_string(e));
+    tn.nodes[1 + e % 4]->publish("t", util::to_bytes(payload));
+    tn.run_seconds(10);
+  }
+  WakuRlnRelay& spammer = *tn.nodes[0];
+  spammer.publish_unchecked("t", util::to_bytes("spam-1"));
+  spammer.publish_unchecked("t", util::to_bytes("spam-2"));
+  tn.run_seconds(30);
+
+  const Bytes fake = util::to_bytes("forged");
+  rln::RlnSignal forged = make_signal(tn, *tn.nodes[5], fake, 6);
+  forged.proof.bytes[40] ^= 0xff;
+  // Sent past the sender's own validator, so its peers judge them.
+  tn.relays[5]->publish("t", WakuRlnRelay::encode_envelope(forged, fake),
+                        /*apply_validator=*/false);
+  const Bytes same = util::to_bytes("same-message");
+  const rln::RlnSignal s1 = make_signal(tn, *tn.nodes[6], same, 8);
+  const rln::RlnSignal s2 = make_signal(tn, *tn.nodes[6], same, 9);
+  tn.relays[6]->publish("t", WakuRlnRelay::encode_envelope(s1, same));
+  tn.run_seconds(5);
+  tn.relays[6]->publish("t", WakuRlnRelay::encode_envelope(s2, same),
+                        /*apply_validator=*/false);
+  tn.run_seconds(15);
+
+  MemoWorld world;
+  std::string& out = world.fingerprint;
+  for (std::size_t i = 0; i < tn.nodes.size(); ++i) {
+    out.append("node").append(std::to_string(i)).append(" ").append(
+        stats_line(tn.nodes[i]->stats()));
+    for (const Bytes& m : tn.delivered[tn.relays[i]->id()]) {
+      out.append(" ").append(util::to_hex(m));
+    }
+    out += "\n";
+    world.logical_verifications += tn.nodes[i]->stats().proof_verifications;
+  }
+  out.append("spammer_active=")
+      .append(std::to_string(tn.contract->is_active(spammer.identity().pk)))
+      .append(" burnt=")
+      .append(std::to_string(tn.chain.ledger().burnt_total()));
+
+  const RlnValidatorContext* first = tn.nodes[0]->validator_context().get();
+  for (std::size_t i = 1; i < tn.nodes.size(); ++i) {
+    EXPECT_EQ(tn.nodes[i]->validator_context().get() == first, share_validator);
+  }
+  if (share_validator) world.shared_memo_runs = first->memo.verifier_runs();
+  return world;
+}
+
+TEST(ProofMemoTest, SharedContextMatchesPrivateContextsExactly) {
+  // With private contexts every relay verifies through its own memo, so
+  // no verdict is ever reused across relays: this is the memo-less world.
+  const MemoWorld shared = run_memo_world(true);
+  const MemoWorld isolated = run_memo_world(false);
+  EXPECT_EQ(shared.fingerprint, isolated.fingerprint);
+  EXPECT_EQ(shared.logical_verifications, isolated.logical_verifications);
+  // The shared world did share: far fewer verifier runs than the per-node
+  // logical verifications its Stats report.
+  EXPECT_GT(shared.shared_memo_runs, 0u);
+  EXPECT_LT(shared.shared_memo_runs, shared.logical_verifications / 2);
+}
+
+TEST(ProofMemoTest, ForgedIdNeverBorrowsAnotherMessagesVerdict) {
+  // Two messages under one id: a valid signal and the same signal with a
+  // corrupted proof. Keyed on the id alone, whichever is seen first would
+  // decide the other's verdict.
+  TestNet tn(2);
+  tn.register_all();
+  WakuRlnRelay& sender = *tn.nodes[0];
+  const Bytes payload = util::to_bytes("borrowed verdict");
+  const rln::RlnSignal good = make_signal(tn, sender, payload, 11);
+  rln::RlnSignal bad = good;
+  bad.proof.bytes[7] ^= 0x01;
+  const auto valid =
+      gossipsub::GsMessage::create("t", WakuRlnRelay::encode_envelope(good, payload));
+  auto forged =
+      gossipsub::GsMessage::create("t", WakuRlnRelay::encode_envelope(bad, payload));
+  forged.id = valid.id;
+
+  const field::Fr x = zksnark::RlnCircuit::message_to_x(payload);
+  for (const bool valid_first : {true, false}) {
+    const auto ctx = RlnValidatorContext::make(tn.crs, 1);
+    const auto check = [&](const gossipsub::GsMessage& msg) {
+      const auto decoded = WakuRlnRelay::decode_envelope(msg.data);
+      EXPECT_TRUE(decoded.has_value());
+      const ProofMemo::Verdict v =
+          ctx->memo.verify(msg, decoded->second, decoded->first, ctx->verifier);
+      EXPECT_EQ(v.x, x);
+      return v.ok;
+    };
+    if (valid_first) {
+      EXPECT_TRUE(check(valid));
+      EXPECT_FALSE(check(forged));
+    } else {
+      EXPECT_FALSE(check(forged));
+      EXPECT_TRUE(check(valid));
+    }
+    EXPECT_EQ(ctx->memo.verifier_runs(), 2u);
+    // Equal bytes in a different buffer take the byte-compare path and
+    // hit whichever message owns the slot, without another verifier run.
+    gossipsub::GsMessage copy = valid_first ? valid : forged;
+    copy.data = util::SharedBytes::copy_of(copy.data.span());
+    ASSERT_NE(copy.data.data(), (valid_first ? valid : forged).data.data());
+    EXPECT_EQ(check(copy), valid_first);
+    EXPECT_EQ(ctx->memo.verifier_runs(), 2u);
+  }
+}
+
+TEST(ProofMemoTest, SerialWorldRunsTheVerifierOncePerDistinctMessage) {
+  HarnessConfig hc = HarnessConfig::defaults();
+  hc.node_count = 12;
+  SimHarness world(hc);
+  world.subscribe_all("t");
+  world.register_all();
+  world.run_seconds(2);
+  constexpr std::size_t kHonest = 4;
+  for (std::size_t i = 0; i < kHonest; ++i) {
+    const std::string payload = std::string("msg-").append(std::to_string(i));
+    ASSERT_EQ(world.node(i).publish("t", util::to_bytes(payload)),
+              WakuRlnRelay::PublishOutcome::kPublished);
+  }
+  // One more distinct message whose proof fails, and one that never
+  // reaches the verifier (no RLN envelope).
+  WakuRlnRelay& forger = world.node(kHonest);
+  rln::RlnProver prover(world.crs().pk, forger.identity());
+  Rng prng(3);
+  const Bytes payload = util::to_bytes("forged");
+  auto signal = prover.create_signal(payload, forger.current_epoch(), forger.group(),
+                                     *forger.group().index_of(forger.identity().pk), prng);
+  ASSERT_TRUE(signal.has_value());
+  signal->proof.bytes[0] ^= 0xff;
+  world.relay(kHonest).publish("t", WakuRlnRelay::encode_envelope(*signal, payload));
+  world.relay(kHonest + 1).publish("t", util::to_bytes("not an envelope"));
+  world.run_seconds(10);
+
+  const WakuRlnRelay::Stats total = world.aggregate_stats();
+  EXPECT_EQ(total.accepted, kHonest * hc.node_count);
+  EXPECT_GE(total.invalid_proof, 1u);
+  EXPECT_GE(total.invalid_envelope, 1u);
+  EXPECT_EQ(world.validator_context()->memo.verifier_runs(), kHonest + 1);
+  // Stats still count every node's own logical verification.
+  EXPECT_GT(total.proof_verifications, kHonest * (hc.node_count - 1));
 }
 
 }  // namespace

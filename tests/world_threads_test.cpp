@@ -14,6 +14,9 @@
 //     (merged by (origin, seq)), and cancelling a shard-owned timer from
 //     a global event while its next occurrence is already armed across
 //     the barrier.
+//
+// Plus the world-shared proof-verdict memo under two lanes: relays on both
+// shards look up and fill one memo, so this is where TSan watches its lock.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +30,7 @@
 #include "scenario/campaign.h"
 #include "scenario/scenarios.h"
 #include "sim/scheduler.h"
+#include "waku/harness.h"
 
 namespace wakurln {
 namespace {
@@ -212,6 +216,68 @@ TEST(WorldThreadsBarrierTest, TimerCancelAcrossWindowBarrier) {
                                              "fire@1500"};
   EXPECT_EQ(run(1), expected);
   EXPECT_EQ(run(2), expected);
+}
+
+// ---------------------------------------------------------------------------
+// Shared proof-verdict memo across shard lanes
+// ---------------------------------------------------------------------------
+
+struct MemoRun {
+  std::string observed;  ///< per-node Stats + the merged delivery log
+  std::uint64_t verifier_runs = 0;
+};
+
+MemoRun run_memo_world(unsigned world_threads, std::size_t publishers) {
+  waku::HarnessConfig hc = waku::HarnessConfig::defaults();
+  hc.node_count = 16;
+  hc.world_threads = world_threads;
+  waku::SimHarness world(hc);
+  world.subscribe_all("t");
+  world.register_all();
+  // Two rounds a few epochs apart, so the memo is pruned between them
+  // while both lanes keep validating.
+  for (std::size_t round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < publishers; ++i) {
+      world.node(i).publish("t", util::to_bytes(std::string("r")
+                                                    .append(std::to_string(round))
+                                                    .append("-")
+                                                    .append(std::to_string(i))));
+    }
+    world.run_seconds(60);
+  }
+  MemoRun run;
+  for (std::size_t i = 0; i < world.size(); ++i) {
+    const waku::WakuRlnRelay::Stats& s = world.node(i).stats();
+    for (const std::uint64_t f :
+         {s.published, s.accepted, s.invalid_proof, s.duplicates, s.double_signals,
+          s.proof_verifications, s.proof_cache_hits}) {
+      run.observed.append(std::to_string(f)).append(",");
+    }
+    run.observed.append("\n");
+  }
+  for (const waku::SimHarness::Delivery& d : world.deliveries()) {
+    run.observed.append(std::to_string(d.node_index))
+        .append("@")
+        .append(std::to_string(d.at))
+        .append(" ")
+        .append(util::to_hex(d.payload.span()))
+        .append("\n");
+  }
+  run.verifier_runs = world.validator_context()->memo.verifier_runs();
+  return run;
+}
+
+TEST(WorldThreadsProofMemoTest, ShardedWorldSharesOneMemoWithSerialResults) {
+  constexpr std::size_t kPublishers = 6;
+  constexpr std::size_t kDistinct = 2 * kPublishers;
+  const MemoRun serial = run_memo_world(1, kPublishers);
+  const MemoRun sharded = run_memo_world(2, kPublishers);
+  EXPECT_EQ(sharded.observed, serial.observed);
+  EXPECT_EQ(serial.verifier_runs, kDistinct);
+  // Lanes racing on one miss may both run the verifier; each lane misses
+  // a message at most once.
+  EXPECT_GE(sharded.verifier_runs, kDistinct);
+  EXPECT_LE(sharded.verifier_runs, 2 * kDistinct);
 }
 
 }  // namespace

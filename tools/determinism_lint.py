@@ -57,6 +57,10 @@ SCAN_GLOBS = [
     "src/sim/network.cpp",
     "src/waku/harness.h",
     "src/waku/harness.cpp",
+    # RLN validation: per-node verdicts and the world-shared proof-verdict
+    # memo decide every accept / reject / slash the report counts.
+    "src/waku/rln_relay.h",
+    "src/waku/rln_relay.cpp",
     # The batched crypto hot path: field kernels, batch Poseidon, batch
     # Merkle appends and the prepared proof verifier all sit upstream of
     # root/nullifier/verdict bytes in the report, and the batch paths
